@@ -23,7 +23,8 @@ The committed baseline runs pinned to the NumPy kernel tier
 (``kernels.use_tier("numpy")``, matching BENCH_hotpaths.json's
 convention) so the numbers stay host-comparable; on hosts with a
 compiled backend the native-tier throughput is recorded as a separate
-non-gating ``native`` entry.  Results are printed and merged into
+non-gating ``native`` entry.  A ``host`` stamp records the CPU count,
+the auto-resolved kernel tier and the backend.  Results are printed and merged into
 ``BENCH_serve.json`` at the repo root.  Scale via ``SECNDP_BENCH_SCALE``
 (smoke / default / paper).
 """
@@ -31,6 +32,7 @@ non-gating ``native`` entry.  Results are printed and merged into
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
 
@@ -86,6 +88,11 @@ def test_serve(scale):
             "native_available": False,
             "unavailable_reason": kernels.unavailable_reason(),
         }
+    report["host"] = {
+        "cpu_count": os.cpu_count() or 1,
+        "kernel_tier": kernels.active_tier(),
+        "backend": kernels.backend_name(),
+    }
 
     tp = report["throughput"]
     print()

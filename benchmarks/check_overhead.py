@@ -13,14 +13,12 @@ enabled-mode overhead stays visible in CI logs, and checks that a
 within a small envelope of the plain in-process store path — the
 degraded engine is pure delegation and must stay free.  A third check
 serves the same batch with the fault-injection hooks in their disabled
-states and fails if they cost more than 2% over a hook-free serve, and a
-fourth does the same for hot-row tiering: a store with tiering attached
-but the prewarmer disabled must serve within 2% of a detached store.  A
-fifth pins the telemetry layer: with the security-event log enabled
+states and fails if they cost more than 2% over a hook-free serve.  A
+fourth pins the telemetry layer: with the security-event log enabled
 (in-memory ring or JSONL journal) a healthy serve must emit zero events
-and stay within 2% of the fully-disabled path.  A sixth pins the kernel
-tier dispatch: a host where no compiled backend resolves (no numba, no
-C compiler) must serve within 2% of the numpy-pinned path — graceful
+and stay within 2% of the fully-disabled path.  A fifth pins the kernel
+tier dispatch: a host where no compiled backend resolves (no C
+compiler) must serve within 2% of the numpy-pinned path — graceful
 degradation cannot tax the portable tier.
 
 All timed sections run pinned to the NumPy kernel tier (with
@@ -195,70 +193,6 @@ def _check_fault_hook_overhead(sizes, limit_fraction: float = 0.02) -> bool:
     return ok
 
 
-def _check_tiering_overhead(sizes, limit_fraction: float = 0.02) -> bool:
-    """Hot-row tiering must be ~free when not in use.
-
-    Serves the same ``sls_many`` batch (best of 9, back to back in this
-    process) under two states:
-
-    * no tiering attached — the production default: the serving path
-      pays one ``is None`` check per validated query and the row-pad
-      LRU branch is a single integer test;
-    * tiering attached but idle — the access tracker observes every
-      query (what a prewarmer-disabled deployment that still collects
-      stats looks like), with no prewarmer thread and default caches.
-
-    The attached state must stay within ``limit_fraction`` (2%) of the
-    detached serve, and both must produce bit-identical results.  The
-    batch is 4x the scale's (a ~20 ms serve) and both states are timed
-    best-of-11, so single-digit-microsecond hook costs are resolvable
-    above scheduler jitter.
-    """
-    import numpy as np
-
-    from bench_hotpaths import KEY, _best_of
-    from repro.core.params import SecNDPParams
-    from repro.core.protocol import SecNDPProcessor, UntrustedNdpDevice
-    from repro.workloads.secure_sls import SecureEmbeddingStore
-
-    params = SecNDPParams(element_bits=32)
-    store = SecureEmbeddingStore(
-        SecNDPProcessor(KEY, params), UntrustedNdpDevice(params), quantization="table"
-    )
-    rng = np.random.default_rng(13)
-    n_rows = min(sizes["n_rows"], 2_048)
-    store.add_table("emb", rng.normal(size=(n_rows, sizes["dim"])))
-    pf = min(sizes["pf"], store.max_pooling_factor("emb"))
-    batch_rows = [
-        list(rng.integers(0, min(2 * pf, n_rows), size=pf))
-        for _ in range(sizes["batch"] * 4)
-    ]
-    serve = lambda: store.sls_many("emb", batch_rows)  # noqa: E731
-    serve()  # warm the OTP pad cache so no state favours either config
-
-    t_off, out_off = _best_of(serve, repeats=11)
-    store.attach_tiering()
-    try:
-        t_on, out_on = _best_of(serve, repeats=11)
-    finally:
-        store._tiering = None
-
-    assert np.array_equal(out_off, out_on), "idle tiering changed results"
-    ratio = t_on / t_off if t_off else float("inf")
-    limit = 1.0 + limit_fraction
-    print(
-        f"tiering attached idle: {t_on*1e3:.1f} ms vs detached "
-        f"{t_off*1e3:.1f} ms ({(ratio - 1) * 100:+.1f}%; limit +{limit_fraction:.0%})"
-    )
-    if ratio > limit:
-        print(
-            f"FAIL: idle tiering costs {ratio:.3f}x the detached serve "
-            f"(limit {limit:.2f}x)"
-        )
-        return False
-    return True
-
-
 def _check_kernel_dispatch_overhead(sizes, limit_fraction: float = 0.02) -> bool:
     """Kernel tier dispatch must be ~free when no backend is used.
 
@@ -271,7 +205,7 @@ def _check_kernel_dispatch_overhead(sizes, limit_fraction: float = 0.02) -> bool
       a host that *does* have a compiled backend);
     * the degraded state — the backend module list emptied out so the
       ``auto`` probe fails and resolves to ``numpy`` (what a host with
-      no numba and no C compiler serves with, after the single
+      no C compiler serves with, after the single
       ``kernel.native_unavailable`` counter bump).
 
     The degraded serve must stay within ``limit_fraction`` (2%) of the
@@ -522,9 +456,6 @@ def main(argv=None) -> int:
         return 1
 
     if not _check_fault_hook_overhead(sizes):
-        return 1
-
-    if not _check_tiering_overhead(sizes):
         return 1
 
     if not _check_kernel_dispatch_overhead(sizes):

@@ -53,6 +53,22 @@ __all__ = [
 ]
 
 
+def _ints(value: Any, what: str) -> List[int]:
+    """A wire list of plain integers (bools, floats and strings rejected)."""
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(v, int) and not isinstance(v, bool) for v in value
+    ):
+        raise ConfigurationError(f"{what} must be a list of integers")
+    return list(value)
+
+
+def _int_rows(value: Any, what: str) -> List[List[int]]:
+    """A wire list of integer lists (the 2-D shape every batch field has)."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(f"{what} must be a list of integer lists")
+    return [_ints(row, what) for row in value]
+
+
 def encode_params(params: SecNDPParams) -> Dict[str, Any]:
     return {
         "element_bits": int(params.element_bits),
@@ -107,14 +123,13 @@ def decode_device_sums(
     """
     modulus = int(params.tag_modulus)
     try:
-        values = np.asarray(payload["values"], dtype=np.uint64).astype(
-            params.ring().dtype
-        )
-        if values.ndim == 1:  # zero-query batch serializes as []
+        rows = _int_rows(payload["values"], "values")
+        values = np.asarray(rows, dtype=np.uint64).astype(params.ring().dtype)
+        if not rows:  # zero-query batch serializes as []
             values = values.reshape(0, 0)
         tags = payload.get("tag_sums")
         tag_sums: Optional[List[int]] = (
-            None if tags is None else [int(t) % modulus for t in tags]
+            None if tags is None else [t % modulus for t in _ints(tags, "tag_sums")]
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"bad device sums payload: {exc}") from exc
@@ -133,9 +148,9 @@ def encode_queries(
 
 def decode_queries(payload: Dict[str, Any]):
     try:
-        rows = [[int(r) for r in q] for q in payload["batch_rows"]]
-        weights = [[int(w) for w in q] for q in payload["batch_weights"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows = _int_rows(payload["batch_rows"], "batch_rows")
+        weights = _int_rows(payload["batch_weights"], "batch_weights")
+    except (KeyError, TypeError) as exc:
         raise ConfigurationError(f"bad queries payload: {exc}") from exc
     if len(rows) != len(weights):
         raise ConfigurationError("batch_rows and batch_weights length mismatch")

@@ -40,6 +40,7 @@ from ..serve.protocol import (
     FrameError,
     NodeRequest,
     NodeResponse,
+    frame_id,
     read_frame,
     resolve_codec,
     write_frame,
@@ -130,11 +131,10 @@ class NodeServer:
                 try:
                     request = NodeRequest.from_wire(obj)
                 except FrameError as exc:
-                    rid = obj.get("id", 0) if isinstance(obj, dict) else 0
                     await self._write(
                         writer,
                         NodeResponse(
-                            id=int(rid), status=STATUS_ERROR,
+                            id=frame_id(obj), status=STATUS_ERROR,
                             error=str(exc), kind="FrameError",
                         ),
                     )

@@ -11,29 +11,17 @@ while the processor computes on ``E``.
 The inverse operation (ring addition of the regenerated pad) is what the
 paper calls decryption; in hardware it is the single adder on the
 ``SecNDPLd`` critical path (Sec. V-E3).
-
-Tiering note: query-path pad regeneration (:meth:`ArithmeticEncryptor.
-pads_for_rows`) assembles each row from ``row_bytes / 16`` cached cipher
-blocks — ~16 LRU operations per row even when every block is resident.
-An optional *row-level* pad LRU (off by default; sized by
-:mod:`repro.tiering` from the hot-set footprint) short-circuits that to
-one lookup per row, which is what makes prewarmed hot rows nearly free
-to serve.  Same contract as every pad cache here: keys carry
-``(version, address)``, so entries are pure-function values and stale
-versions are unreachable by construction.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .. import obs
 from ..crypto.aes import BLOCK_BYTES
-from ..crypto.otp import OtpCacheInfo, OtpGenerator
+from ..crypto.otp import OtpGenerator
 from ..crypto.tweaked import TweakedCipher
 from ..errors import ConfigurationError
 from .params import SecNDPParams
@@ -100,16 +88,6 @@ class ArithmeticEncryptor:
         self.params = params
         self.ring = params.ring()
         self.otp = OtpGenerator(cipher, self.ring)
-        # Row-level pad LRU, keyed (version, row_addr) -> pad row.  Off
-        # (capacity 0) until the tiering layer sizes it to the hot set;
-        # see the module docstring.  Concurrency contract matches
-        # OtpGenerator: single C-level OrderedDict ops under the GIL,
-        # KeyError-tolerant move_to_end/popitem.
-        self.row_cache_rows = 0
-        self._row_cache: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-        self.row_cache_hits = 0
-        self.row_cache_misses = 0
-        self.row_cache_evictions = 0
 
     def encrypt(
         self, plaintext: np.ndarray, base_addr: int, version: int
@@ -161,56 +139,9 @@ class ArithmeticEncryptor:
         This is the processor-side share used during computation; it never
         touches memory - the pads are derived purely from addresses and the
         version (the property that makes SecNDP bandwidth-free on the OTP
-        side).  With a non-zero ``row_cache_rows`` capacity, whole row
-        pads are served from the row-level LRU (one lookup per row); only
-        the missing rows fall through to the block-assembly path.
+        side).  Pad blocks come through the OTP generator's block LRU.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        if not self.row_cache_rows:
-            return self._pads_for_rows_blocks(encrypted, rows)
-        cache = self._row_cache
-        m = encrypted.n_cols
-        out = np.empty((len(rows), m), dtype=self.ring.dtype)
-        version = encrypted.version
-        base = encrypted.base_addr
-        row_bytes = encrypted.row_bytes
-        missing: list = []
-        missing_pos: list = []
-        for pos, r in enumerate(rows.tolist()):
-            key = (version, base + r * row_bytes)
-            pad = cache.get(key)
-            if pad is None:
-                missing.append(r)
-                missing_pos.append(pos)
-            else:
-                try:
-                    cache.move_to_end(key)
-                except KeyError:  # concurrent prewarmer eviction
-                    pass
-                out[pos] = pad
-        hits = len(rows) - len(missing)
-        self.row_cache_hits += hits
-        self.row_cache_misses += len(missing)
-        if obs.enabled():
-            obs.inc("otp.row_cache.hit", hits)
-            obs.inc("otp.row_cache.miss", len(missing))
-        if missing:
-            uniq = sorted(set(missing))
-            pads = self._pads_for_rows_blocks(
-                encrypted, np.asarray(uniq, dtype=np.int64)
-            )
-            lookup = {r: pads[i] for i, r in enumerate(uniq)}
-            for r, pos in zip(missing, missing_pos):
-                out[pos] = lookup[r]
-            for r in uniq:
-                cache[(version, base + r * row_bytes)] = lookup[r].copy()
-            self._evict_row_cache()
-        return out
-
-    def _pads_for_rows_blocks(
-        self, encrypted: EncryptedMatrix, rows: np.ndarray
-    ) -> np.ndarray:
-        """Row pads assembled from the block-level generator (the old path)."""
         m = encrypted.n_cols
         elem_bytes = self.params.element_bytes
         addrs = (
@@ -220,55 +151,6 @@ class ArithmeticEncryptor:
         )
         flat = self.otp.pad_elements_at(addrs.reshape(-1), encrypted.version)
         return flat.reshape(len(rows), m)
-
-    def _evict_row_cache(self) -> None:
-        """Shrink the row-pad LRU to capacity in one accounted pass."""
-        cache = self._row_cache
-        excess = len(cache) - self.row_cache_rows
-        if excess > 0:
-            for _ in range(excess):
-                try:
-                    cache.popitem(last=False)
-                except KeyError:
-                    break
-            self.row_cache_evictions += excess
-            obs.inc("otp.row_cache.eviction", excess)
-
-    def resize_row_cache(self, rows: int) -> None:
-        """Set the row-pad LRU capacity (0 disables and drops everything)."""
-        if rows < 0:
-            raise ValueError("row cache capacity must be non-negative")
-        self.row_cache_rows = rows
-        if rows == 0:
-            self._row_cache.clear()
-        else:
-            self._evict_row_cache()
-        if obs.enabled():
-            obs.gauge("otp.row_cache.capacity_rows", rows)
-
-    def purge_row_version(self, version: int) -> int:
-        """Drop cached row pads of a retired data version (re-encryption)."""
-        stale = [key for key in list(self._row_cache) if key[0] == version]
-        dropped = 0
-        for key in stale:
-            try:
-                del self._row_cache[key]
-            except KeyError:
-                continue
-            dropped += 1
-        if dropped:
-            obs.inc("otp.row_cache.purged", dropped)
-        return dropped
-
-    def row_cache_info(self) -> OtpCacheInfo:
-        """Row-pad LRU statistics (same tuple shape as the block cache)."""
-        return OtpCacheInfo(
-            hits=self.row_cache_hits,
-            misses=self.row_cache_misses,
-            evictions=self.row_cache_evictions,
-            currsize=len(self._row_cache),
-            maxsize=self.row_cache_rows,
-        )
 
     def pad_for_element(
         self, encrypted: EncryptedMatrix, i: int, j: int

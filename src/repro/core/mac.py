@@ -14,28 +14,18 @@ reference; :meth:`attach_tags` and :meth:`tag_pads_for_rows` batch all
 row addresses through the vectorized AES sweep and compute row tags with
 the limb-vectorized checksum, so tagging an ``n x m`` matrix costs one
 cipher sweep + one field sweep instead of ``n`` scalar AES calls and
-``n * m`` interpreted field operations.
-
-Tiering note: like the data-pad LRU in :class:`~repro.crypto.otp.
-OtpGenerator`, query-path tag pads are a pure function of
-``(K, tag_version, row address)``, so an optional per-(version, address)
-LRU (off by default — sized by :mod:`repro.tiering` from the observed
-hot-set footprint) makes repeated verified queries over hot rows skip
-the tag-domain AES sweep entirely.  Bulk tagging (:meth:`attach_tags`)
-always bypasses the cache: a whole-matrix sweep would only evict the hot
-query rows.
+``n * m`` interpreted field operations.  Tag pads are regenerated on
+every query; there is no tag-pad cache (DESIGN.md Sec. 12).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Sequence
 
 import numpy as np
 
 from .. import obs
 from ..crypto.aes import BLOCK_BYTES
-from ..crypto.otp import OtpCacheInfo
 from ..crypto.prime_field import PrimeField
 from ..crypto.tweaked import DOMAIN_TAG, TweakedCipher
 from .checksum import LinearChecksum, MultiPointChecksum
@@ -60,22 +50,17 @@ class EncryptedLinearMac:
         # Either the single-point hash of Alg. 2 (default) or the
         # multi-point variant of Alg. 8; both expose key_for/row_tags.
         self.checksum = checksum or LinearChecksum(cipher, params)
-        # Query-path tag-pad LRU, keyed (version, row_addr) -> pad.  Off
-        # (capacity 0) until the tiering layer sizes it; every entry is a
-        # plain int, so the cache is semantically invisible and cheap.
-        self.tag_cache_rows = 0
-        self._tag_cache: "OrderedDict[tuple, int]" = OrderedDict()
-        self.tag_cache_hits = 0
-        self.tag_cache_misses = 0
-        self.tag_cache_evictions = 0
 
     def tag_pad(self, row_addr: int, version: int) -> int:
         """``E_{T_i}`` - first ``w_t`` bits of ``E(K, 10 || paddr(P_i) || v)``."""
         pad = self.cipher.encrypt_counter_int(DOMAIN_TAG, row_addr, version)
         return self.field.reduce(pad >> (self.params.block_bits - self.params.tag_bits))
 
-    def _tag_pads_raw(self, addrs: np.ndarray, version: int) -> list:
-        """Uncached vectorized sweep over ``uint64`` row addresses."""
+    def tag_pads(self, row_addrs: Sequence[int], version: int) -> list:
+        """Batched :meth:`tag_pad`: one vectorized AES sweep for all rows."""
+        addrs = np.asarray(row_addrs, dtype=np.uint64)
+        if addrs.size == 0:
+            return []
         obs.inc("mac.tag_pads", int(addrs.size))
         blocks = self.cipher.encrypt_counters(DOMAIN_TAG, addrs, version)
         shift = self.params.block_bits - self.params.tag_bits
@@ -85,98 +70,6 @@ class EncryptedLinearMac:
             reduce(int.from_bytes(buf[BLOCK_BYTES * i : BLOCK_BYTES * (i + 1)], "big") >> shift)
             for i in range(addrs.size)
         ]
-
-    def tag_pads(self, row_addrs: Sequence[int], version: int) -> list:
-        """Batched :meth:`tag_pad`: one vectorized AES sweep for all rows.
-
-        With a non-zero ``tag_cache_rows`` capacity, resident pads are
-        served from the LRU and only the missing addresses reach the
-        cipher (same contract as the OTP block cache: pads are pure
-        functions of ``(K, version, address)``).
-        """
-        addrs = np.asarray(row_addrs, dtype=np.uint64)
-        if addrs.size == 0:
-            return []
-        if not self.tag_cache_rows:
-            return self._tag_pads_raw(addrs, version)
-        cache = self._tag_cache
-        out: list = [None] * addrs.size
-        missing: list = []
-        missing_pos: list = []
-        for pos, addr in enumerate(addrs.tolist()):
-            key = (version, addr)
-            pad = cache.get(key)
-            if pad is None:
-                missing.append(addr)
-                missing_pos.append(pos)
-            else:
-                try:
-                    cache.move_to_end(key)
-                except KeyError:  # concurrent prewarmer eviction
-                    pass
-                out[pos] = pad
-        hits = addrs.size - len(missing)
-        self.tag_cache_hits += hits
-        self.tag_cache_misses += len(missing)
-        if obs.enabled():
-            obs.inc("mac.tag_cache.hit", hits)
-            obs.inc("mac.tag_cache.miss", len(missing))
-        if missing:
-            pads = self._tag_pads_raw(np.asarray(missing, dtype=np.uint64), version)
-            for k, pos in enumerate(missing_pos):
-                out[pos] = pads[k]
-                cache[(version, missing[k])] = pads[k]
-            self._evict_tag_cache()
-        return out
-
-    def _evict_tag_cache(self) -> None:
-        """Shrink the tag-pad LRU to capacity in one accounted pass."""
-        cache = self._tag_cache
-        excess = len(cache) - self.tag_cache_rows
-        if excess > 0:
-            for _ in range(excess):
-                try:
-                    cache.popitem(last=False)
-                except KeyError:
-                    break
-            self.tag_cache_evictions += excess
-            obs.inc("mac.tag_cache.eviction", excess)
-
-    def resize_tag_cache(self, rows: int) -> None:
-        """Set the tag-pad LRU capacity (0 disables and drops everything)."""
-        if rows < 0:
-            raise ValueError("tag cache capacity must be non-negative")
-        self.tag_cache_rows = rows
-        if rows == 0:
-            self._tag_cache.clear()
-        else:
-            self._evict_tag_cache()
-        if obs.enabled():
-            obs.gauge("mac.tag_cache.capacity_rows", rows)
-
-    def purge_tag_version(self, version: int) -> int:
-        """Drop cached tag pads of a retired ``tag_version`` (re-encryption)."""
-        stale = [key for key in list(self._tag_cache) if key[0] == version]
-        dropped = 0
-        for key in stale:
-            try:
-                del self._tag_cache[key]
-            except KeyError:
-                continue
-            dropped += 1
-        if dropped:
-            obs.inc("mac.tag_cache.purged", dropped)
-        return dropped
-
-    def tag_cache_info(self) -> OtpCacheInfo:
-        """Tag-pad LRU statistics (same tuple shape as the OTP cache)."""
-        return OtpCacheInfo(
-            hits=self.tag_cache_hits,
-            misses=self.tag_cache_misses,
-            evictions=self.tag_cache_evictions,
-            currsize=len(self._tag_cache),
-            maxsize=self.tag_cache_rows,
-        )
 
     def encrypt_tag(self, tag: int, row_addr: int, version: int) -> int:
         """``C_{T_i} = T_i - E_{T_i} mod q`` (Alg. 3 line 5)."""
@@ -211,9 +104,7 @@ class EncryptedLinearMac:
             encrypted.n_rows, dtype=np.uint64
         ) * np.uint64(encrypted.row_bytes)
         with obs.span("mac.pad_sweep"):
-            # Bulk sweep bypasses the tag-pad LRU: a whole-matrix pass
-            # would evict exactly the hot query rows worth keeping.
-            pads = self._tag_pads_raw(np.asarray(row_addrs, dtype=np.uint64), tag_version)
+            pads = self.tag_pads(row_addrs, tag_version)
         sub = self.field.sub
         encrypted.tags = [sub(t, p) for t, p in zip(tags, pads)]
         encrypted.checksum_version = checksum_version

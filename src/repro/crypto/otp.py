@@ -18,14 +18,14 @@ pure function of ``(K, version, address)``, so caching is semantically
 invisible; repeated SLS queries over hot embedding rows skip the cipher
 entirely.
 
-Concurrency note: the hot-row tiering layer (:mod:`repro.tiering`) feeds
-this LRU from a background prewarmer thread while the serving thread
-reads it.  Every cache operation here is a single C-level
-dict/OrderedDict call (atomic under the GIL) and pad rows are immutable
-copies, so interleavings can only cost a duplicated AES call or a
-slightly-early eviction — never a wrong pad.  The two read-modify-write
-spots that could observe a concurrent eviction (``move_to_end`` after a
-hit, ``popitem`` while shrinking) tolerate ``KeyError``.
+Concurrency note: a store may be served from more than one thread (the
+serving front-end and the parallel engine's offload thread).  Every
+cache operation here is a single C-level dict/OrderedDict call (atomic
+under the GIL) and pad rows are immutable copies, so interleavings can
+only cost a duplicated AES call or a slightly-early eviction — never a
+wrong pad.  The two read-modify-write spots that could observe a
+concurrent eviction (``move_to_end`` after a hit, ``popitem`` while
+shrinking) tolerate ``KeyError``.
 """
 
 from __future__ import annotations
@@ -167,9 +167,9 @@ class OtpGenerator:
                 try:
                     cache.move_to_end(key)
                 except KeyError:
-                    # A concurrent prewarmer eviction raced the hit; the
-                    # row reference is still valid, only the LRU position
-                    # is lost.
+                    # A concurrent eviction raced the hit; the row
+                    # reference is still valid, only the LRU position is
+                    # lost.
                     pass
                 out[pos] = row
         hits = len(block_addrs) - len(missing)
@@ -232,7 +232,7 @@ class OtpGenerator:
         self.cache_evictions = 0
 
     def resize_cache(self, cache_blocks: int) -> None:
-        """Change the LRU capacity in place (skew-aware sizing hook).
+        """Change the LRU capacity in place.
 
         Growing keeps every resident pad; shrinking evicts the coldest
         entries down to the new capacity.  ``0`` disables caching and
@@ -252,11 +252,11 @@ class OtpGenerator:
     def purge_version(self, version: int) -> int:
         """Drop every cached pad generated under ``version``.
 
-        Called by the tiering layer when a region is re-encrypted under a
-        bumped version: pads are keyed by ``(version, address)``, so stale
-        entries can never be *served* for the new version, but they would
-        squat in the capacity until natural eviction.  Returns the number
-        of entries dropped.
+        For use after a region is re-encrypted under a bumped version:
+        pads are keyed by ``(version, address)``, so stale entries can
+        never be *served* for the new version, but they squat in the
+        capacity until natural eviction.  Returns the number of entries
+        dropped.
         """
         stale = [key for key in list(self._block_cache) if key[0] == version]
         dropped = 0

@@ -12,8 +12,8 @@ cached object instead of recompiling.
 Importing this module raises :class:`~repro.kernels.NativeUnavailable`
 when no compiler is found, compilation fails, or the compiled library
 fails its load-time self-test (FIPS-197 AES vector plus big-int
-cross-checks of every field kernel) — the tier dispatcher treats that
-exactly like numba being absent and falls back to NumPy.
+cross-checks of every field kernel) — the tier dispatcher then falls
+back to NumPy.
 
 Every wrapper returns ``None`` for shapes/dtypes outside its fast-path
 contract; the dispatch sites in ``crypto/limb_field.py`` and

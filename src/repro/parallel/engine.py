@@ -122,27 +122,12 @@ class _TableSpec(NamedTuple):
 
 
 class _PoolSpec(NamedTuple):
-    """One-time broadcast at pool start: key, params, table handles.
-
-    When the wrapped store has hot-row tiering attached, the hot-row
-    lists and skew-derived cache capacities ride along so every worker
-    prewarms its *private* pad caches at init — tasks can land on any
-    worker (``map_async``), so each one needs the full hot set, not a
-    shard-local slice.
-    """
+    """One-time broadcast at pool start: key, params, table handles."""
 
     key: bytes
     params: object
     multipoint: bool
     tables: Tuple[_TableSpec, ...]
-    #: per-table hot rows to prewarm, ``((name, (row, ...)), ...)``
-    hot_rows: Tuple[Tuple[str, Tuple[int, ...]], ...] = ()
-    #: skew-derived OTP LRU capacity (0 keeps the default)
-    cache_blocks: int = 0
-    #: skew-derived tag-pad LRU capacity (0 keeps tag caching off)
-    tag_cache_rows: int = 0
-    #: skew-derived row-pad LRU capacity (0 keeps row caching off)
-    row_cache_rows: int = 0
     #: resolved kernel tier broadcast to workers ("" keeps worker-side
     #: auto resolution); workers warm kernels at spawn, never per task
     kernel_tier: str = ""
@@ -195,20 +180,6 @@ def _engine_worker_init(spec: _PoolSpec, counter) -> None:
                 tag_version=table.tag_version,
             ),
         )
-    if spec.cache_blocks:
-        processor.encryptor.otp.resize_cache(spec.cache_blocks)
-    if spec.row_cache_rows:
-        processor.encryptor.resize_row_cache(spec.row_cache_rows)
-    if spec.tag_cache_rows:
-        processor.mac.resize_tag_cache(spec.tag_cache_rows)
-    for name, rows in spec.hot_rows:
-        # Prewarm this worker's private caches for the broadcast hot set:
-        # one AES sweep per table at spawn instead of cold misses on the
-        # first queries each worker serves.
-        enc = device.stored(name)
-        processor.encryptor.pads_for_rows(enc, list(rows))
-        if spec.tag_cache_rows and enc.tag_version is not None:
-            processor.mac.tag_pads_for_rows(enc, list(rows))
     _WORKER = {
         "wid": wid,
         "processor": processor,
@@ -263,17 +234,18 @@ def _engine_sls_task(args):
     snap = None
     if collect_metrics:
         now = time.monotonic()
-        if snapshot_interval <= 0 or now - _WORKER.get("last_push", 0.0) >= snapshot_interval:
+        # ``None`` until the first push: the monotonic clock's origin is
+        # arbitrary (boot time on Linux), so a 0.0 sentinel would hold
+        # back the first snapshot on a host up for less than an interval.
+        last = _WORKER.get("last_push")
+        if snapshot_interval <= 0 or last is None or now - last >= snapshot_interval:
             snap = obs.snapshot(include_samples=True)
             obs.reset()
             _WORKER["last_push"] = now
     events = obs.trace_events() if collect_trace else None
     if collect_trace:
         obs.clear_trace()
-    cache = (
-        processor.encryptor.otp.cache_info(),
-        processor.mac.tag_cache_info(),
-    )
+    cache = processor.encryptor.otp.cache_info()
     return _WORKER["wid"], part.values, part.tag_shares, snap, events, cache
 
 
@@ -320,8 +292,8 @@ class ParallelSlsEngine:
         self._segments: list = []
         self._bounds: Dict[str, np.ndarray] = {}
         self._versions: Dict[str, int] = {}
-        # wid -> (otp OtpCacheInfo, tag OtpCacheInfo), trailing by one batch
-        self._worker_cache: Dict[int, Tuple[OtpCacheInfo, OtpCacheInfo]] = {}
+        # wid -> OTP OtpCacheInfo, trailing by one batch
+        self._worker_cache: Dict[int, OtpCacheInfo] = {}
         self._offload: Optional[ThreadPoolExecutor] = None
         self._closed = False
         if self.workers >= 1:
@@ -368,32 +340,11 @@ class ParallelSlsEngine:
             # re-encryption (recovery rung 4) bumps it, flagging the
             # shared copy as stale.
             self._versions[name] = enc.version
-        # Hot-row tiering broadcast: if the store tracks a hot set, ship
-        # it (plus the skew-derived cache capacities) to every worker so
-        # private pad caches start warm.  Tasks are scheduled on whichever
-        # worker is free, so each worker needs the *full* hot set.
-        hot_rows: List[Tuple[str, Tuple[int, ...]]] = []
-        cache_blocks = tag_cache_rows = row_cache_rows = 0
-        tiering = getattr(store, "_tiering", None)
-        if tiering is not None:
-            cache_blocks, tag_cache_rows = tiering.apply_sizing()
-            row_cache_rows = tag_cache_rows
-            if not tiering.config.prewarm_tags or not store.verify:
-                tag_cache_rows = 0
-            for name in store.tables():
-                hot = tiering.hot_rows(name)
-                if hot.size:
-                    hot_rows.append((name, tuple(int(r) for r in hot)))
-            obs.gauge("tiering.broadcast_rows", sum(len(r) for _, r in hot_rows))
         spec = _PoolSpec(
             key=store.processor.cipher.key,
             params=store.processor.params,
             multipoint=isinstance(store.processor.checksum, MultiPointChecksum),
             tables=tuple(table_specs),
-            hot_rows=tuple(hot_rows),
-            cache_blocks=cache_blocks,
-            tag_cache_rows=tag_cache_rows,
-            row_cache_rows=row_cache_rows,
             kernel_tier=kernels.active_tier(),
         )
         ctx = mp.get_context("spawn")
@@ -719,11 +670,5 @@ class ParallelSlsEngine:
         task result, so the numbers trail in-flight work by one batch).
         """
         infos = [self.store.processor.encryptor.otp.cache_info()]
-        infos.extend(self._worker_cache[w][0] for w in sorted(self._worker_cache))
-        return merge_cache_info(infos)
-
-    def tag_cache_info(self) -> OtpCacheInfo:
-        """Fleet-wide tag-pad cache statistics (store + workers)."""
-        infos = [self.store.processor.mac.tag_cache_info()]
-        infos.extend(self._worker_cache[w][1] for w in sorted(self._worker_cache))
+        infos.extend(self._worker_cache[w] for w in sorted(self._worker_cache))
         return merge_cache_info(infos)

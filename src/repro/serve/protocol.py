@@ -62,6 +62,7 @@ __all__ = [
     "ENV_HEARTBEAT_TIMEOUT",
     "DEFAULT_HEARTBEAT_TIMEOUT_S",
     "FrameError",
+    "frame_id",
     "SlsRequest",
     "SlsResponse",
     "NodeRequest",
@@ -141,6 +142,68 @@ class FrameError(ConfigurationError):
     """A malformed, oversized or unsupported frame."""
 
 
+# -- hostile-field checks ------------------------------------------------------
+#
+# A decoded payload is attacker-controlled: every field is checked for
+# its wire type here, so a wrong type surfaces as FrameError instead of
+# whatever ``int()``/``dict()`` would raise (or silently coerce).
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_field(obj: Dict[str, Any], key: str, default: int = 0) -> int:
+    value = obj.get(key, default)
+    if not _is_int(value):
+        raise FrameError(f"frame field {key!r} must be an integer, got {type(value).__name__}")
+    return value
+
+
+def _int_tuple(value: Any, key: str) -> Tuple[int, ...]:
+    if not isinstance(value, (list, tuple)) or not all(_is_int(v) for v in value):
+        raise FrameError(f"frame field {key!r} must be a list of integers")
+    return tuple(value)
+
+
+def _float_tuple(value: Any, key: str) -> Tuple[float, ...]:
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(v, float) or _is_int(v) for v in value
+    ):
+        raise FrameError(f"frame field {key!r} must be a list of numbers")
+    try:
+        return tuple(float(v) for v in value)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise FrameError(f"frame field {key!r}: {exc}") from exc
+
+
+def _opt_str(obj: Dict[str, Any], key: str) -> Optional[str]:
+    value = obj.get(key)
+    if value is not None and not isinstance(value, str):
+        raise FrameError(f"frame field {key!r} must be a string, got {type(value).__name__}")
+    return value
+
+
+def _mapping(obj: Dict[str, Any], key: str) -> Dict[str, Any]:
+    value = obj.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise FrameError(f"frame field {key!r} must be a mapping, got {type(value).__name__}")
+    return dict(value)
+
+
+def frame_id(obj: Any) -> int:
+    """The request id of a decoded frame, or 0 when it has no usable one.
+
+    For answering a frame that failed :meth:`SlsRequest.from_wire` (or
+    :meth:`NodeRequest.from_wire`): the error response must not raise
+    on the same hostile ``id``.
+    """
+    rid = obj.get("id", 0) if isinstance(obj, dict) else 0
+    return rid if _is_int(rid) else 0
+
+
 def available_codecs() -> Tuple[str, ...]:
     """Codec names this process can encode/decode."""
     return ("json", "msgpack") if _msgpack is not None else ("json",)
@@ -189,11 +252,11 @@ class SlsRequest:
             raise FrameError(f"unknown request op {op!r}")
         weights = obj.get("weights")
         return cls(
-            id=int(obj.get("id", 0)),
+            id=_int_field(obj, "id"),
             op=op,
-            table=obj.get("table"),
-            rows=tuple(int(r) for r in obj.get("rows") or ()),
-            weights=None if weights is None else tuple(int(w) for w in weights),
+            table=_opt_str(obj, "table"),
+            rows=_int_tuple(obj.get("rows") or (), "rows"),
+            weights=None if weights is None else _int_tuple(weights, "weights"),
         )
 
 
@@ -233,13 +296,13 @@ class SlsResponse:
             raise FrameError(f"response payload must be a dict, got {type(obj).__name__}")
         values = obj.get("values")
         return cls(
-            id=int(obj.get("id", 0)),
+            id=_int_field(obj, "id"),
             status=str(obj.get("status", "")),
-            values=None if values is None else tuple(float(v) for v in values),
-            error=obj.get("error"),
-            kind=obj.get("kind"),
-            via=obj.get("via"),
-            detail=dict(obj.get("detail") or {}),
+            values=None if values is None else _float_tuple(values, "values"),
+            error=_opt_str(obj, "error"),
+            kind=_opt_str(obj, "kind"),
+            via=_opt_str(obj, "via"),
+            detail=_mapping(obj, "detail"),
         )
 
 
@@ -277,10 +340,10 @@ class NodeRequest:
                 f"node request payload must be a dict, got {type(obj).__name__}"
             )
         return cls(
-            id=int(obj.get("id", 0)),
+            id=_int_field(obj, "id"),
             op=str(obj.get("op", "")),
-            table=obj.get("table"),
-            payload=dict(obj.get("payload") or {}),
+            table=_opt_str(obj, "table"),
+            payload=_mapping(obj, "payload"),
         )
 
 
@@ -314,11 +377,11 @@ class NodeResponse:
                 f"node response payload must be a dict, got {type(obj).__name__}"
             )
         return cls(
-            id=int(obj.get("id", 0)),
+            id=_int_field(obj, "id"),
             status=str(obj.get("status", "")),
-            payload=dict(obj.get("payload") or {}),
-            error=obj.get("error"),
-            kind=obj.get("kind"),
+            payload=_mapping(obj, "payload"),
+            error=_opt_str(obj, "error"),
+            kind=_opt_str(obj, "kind"),
         )
 
 
@@ -347,7 +410,7 @@ def decode_payload(codec: int, payload: bytes) -> Any:
     if codec == CODEC_JSON:
         try:
             return json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
+        except (UnicodeDecodeError, ValueError, RecursionError) as exc:
             raise FrameError(f"bad JSON frame payload: {exc}") from exc
     if codec == CODEC_MSGPACK:
         if _msgpack is None:

@@ -50,6 +50,7 @@ from .protocol import (
     SlsRequest,
     SlsResponse,
     error_response,
+    frame_id,
     read_frame,
     resolve_codec,
     resolve_heartbeat_timeout,
@@ -179,10 +180,9 @@ class SlsServer:
                 try:
                     request = SlsRequest.from_wire(obj)
                 except FrameError as exc:
-                    rid = obj.get("id", 0) if isinstance(obj, dict) else 0
                     obs.inc("serve.frame_errors")
                     await self._safe_write(
-                        writer, write_lock, error_response(int(rid), exc)
+                        writer, write_lock, error_response(frame_id(obj), exc)
                     )
                     continue
                 # One task per frame: the read loop immediately returns

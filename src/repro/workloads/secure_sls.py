@@ -135,8 +135,6 @@ class SecureEmbeddingStore:
         self.recovery = recovery
         self.recovery_log = RecoveryLog()
         self._plain: Dict[str, np.ndarray] = {}
-        #: optional hot-row tiering facade (see :meth:`attach_tiering`)
-        self._tiering = None
         if recovery is not None:
             self.fault_injector = (
                 fault_injector
@@ -198,28 +196,6 @@ class SecureEmbeddingStore:
     def tables(self) -> List[str]:
         return sorted(self._tables)
 
-    # -- hot-row tiering (DESIGN.md Sec. 12) -----------------------------------
-
-    def attach_tiering(self, config=None, tracker=None):
-        """Attach a :class:`~repro.tiering.HotRowTiering` facade.
-
-        Once attached, every validated query (``sls`` / ``sls_many`` /
-        the parallel engine — all funnel through ``_validate_query``)
-        feeds the access tracker, and re-encryptions report their retired
-        versions so prewarmed pads are invalidated.  Returns the facade;
-        call ``start()`` on it for background prewarming or
-        ``prewarm_now()`` for synchronous warming.
-        """
-        from ..tiering import HotRowTiering  # local import: avoid cycle
-
-        self._tiering = HotRowTiering(self, config=config, tracker=tracker)
-        return self._tiering
-
-    @property
-    def tiering(self):
-        """The attached tiering facade, or ``None``."""
-        return self._tiering
-
     def cache_info(self):
         """This store's OTP pad-cache statistics (single-process view).
 
@@ -227,10 +203,6 @@ class SecureEmbeddingStore:
         :meth:`~repro.parallel.engine.ParallelSlsEngine.cache_info`.
         """
         return self.processor.encryptor.otp.cache_info()
-
-    def tag_cache_info(self):
-        """This store's tag-pad cache statistics."""
-        return self.processor.mac.tag_cache_info()
 
     # -- overflow budgeting ---------------------------------------------------------
 
@@ -274,10 +246,6 @@ class SecureEmbeddingStore:
                 f"overflow Z(2^{self.processor.params.element_bits}) for "
                 f"table {name!r}; split the query"
             )
-        if self._tiering is not None:
-            # Single observation point for every serving path (sls,
-            # sls_many, parallel engine): feed the hot-row sketch.
-            self._tiering.observe(name, rows)
         return rows, weights
 
     def _validate_batch(
@@ -770,11 +738,3 @@ class SecureEmbeddingStore:
             retired_version=retired_data,
             retired_tag_version=retired_tag,
         )
-        if self._tiering is not None:
-            # Invalidate prewarmed pads keyed by the retired versions:
-            # they can never be served for the new ciphertext (cache keys
-            # carry the version), but they waste capacity and the warm-set
-            # bookkeeping must restart under the bumped versions.
-            self._tiering.invalidate(
-                name, data_version=retired_data, tag_version=retired_tag
-            )

@@ -221,6 +221,32 @@ class TestLiveWorkerSnapshots:
             # is still accumulating worker-side.
             assert timers["parallel.shard.ns"]["count"] == 1
 
+    def test_first_task_pushes_on_a_young_clock(self, monkeypatch):
+        """The throttle must not depend on how long the host has been up.
+
+        The monotonic clock's origin is arbitrary (boot time on Linux);
+        pinning it below the interval models a host up for seconds.  The
+        task runs in-process against a stand-in worker state.
+        """
+        import types
+
+        from repro.parallel import engine as engine_mod
+
+        store = _build_store()
+        monkeypatch.setattr(
+            engine_mod,
+            "_WORKER",
+            {"wid": 0, "processor": store.processor, "device": store.device},
+        )
+        monkeypatch.setattr(
+            engine_mod, "time", types.SimpleNamespace(monotonic=lambda: 5.0)
+        )
+        task = ("emb", [[0, 1, 2]], [[1, 1, 1]], True, True, False, 3600.0, None)
+        first = engine_mod._engine_sls_task(task)
+        second = engine_mod._engine_sls_task(task)
+        assert first[3] is not None  # the first task always pushes
+        assert second[3] is None  # within the interval: accumulate
+
 
 # -- SLOs ----------------------------------------------------------------------
 

@@ -197,3 +197,81 @@ class TestCacheInfo:
         assert info.maxsize == 0
         assert info.currsize == 0
         assert info.hits == 0 and info.misses == 0
+
+
+class TestBlockCacheAcrossReencryption:
+    """The block LRU stays invisible when a table is re-encrypted.
+
+    Pads are keyed ``(version, address)``: after ``reencrypt_table``
+    bumps the data version, entries of the retired version can never be
+    served for the new ciphertext, whatever the cache capacity.
+    """
+
+    @staticmethod
+    def _store(recovery):
+        from repro.core import SecNDPParams, SecNDPProcessor, UntrustedNdpDevice
+        from repro.faults import RecoveryPolicy
+        from repro.workloads import SecureEmbeddingStore
+
+        params = SecNDPParams(element_bits=32)
+        store = SecureEmbeddingStore(
+            SecNDPProcessor(KEY, params),
+            UntrustedNdpDevice(params),
+            quantization="table",
+            recovery=(
+                RecoveryPolicy(backoff_base_s=1e-5, reencrypt_after=None)
+                if recovery
+                else None
+            ),
+        )
+        store.add_table("emb", np.random.default_rng(0).normal(size=(64, 16)))
+        return store
+
+    @pytest.mark.parametrize("cache_blocks", [None, 0, 8])
+    def test_bit_exact_across_reencryption(self, cache_blocks):
+        hot = list(range(16))
+        reference = self._store(recovery=False)
+        reference.processor.encryptor.otp.resize_cache(0)
+        expected = reference.sls("emb", hot)
+        store = self._store(recovery=True)
+        otp = store.processor.encryptor.otp
+        if cache_blocks is not None:
+            otp.resize_cache(cache_blocks)
+        before = [store.sls("emb", hot) for _ in range(2)]  # cold, then warm
+        old_version = store.device.stored("emb").version
+        store.reencrypt_table("emb")
+        assert store.device.stored("emb").version != old_version
+        misses = otp.cache_info().misses
+        after = [store.sls("emb", hot) for _ in range(2)]
+        for got in before + after:
+            assert np.array_equal(got, expected)
+        if otp.cache_blocks:
+            # The bumped version re-misses: no retired pad was reused.
+            assert otp.cache_info().misses > misses
+            assert otp.cache_info().currsize <= otp.cache_blocks
+
+    def test_purge_version_drops_only_the_retired_version(self):
+        store = self._store(recovery=True)
+        otp = store.processor.encryptor.otp
+        store.sls("emb", [0, 1])
+        old_version = store.device.stored("emb").version
+        store.reencrypt_table("emb")
+        store.sls("emb", [0, 1])
+        resident = otp.cache_info().currsize
+        dropped = otp.purge_version(old_version)
+        assert dropped > 0
+        assert not any(key[0] == old_version for key in otp._block_cache)
+        assert otp.cache_info().currsize == resident - dropped
+
+    def test_resize_rejects_negative(self, gen32):
+        with pytest.raises(ValueError):
+            gen32.resize_cache(-1)
+
+    def test_resize_shrinks_and_zero_disables(self, gen32):
+        addrs = 0x1000 + 16 * np.arange(8, dtype=np.uint64)
+        gen32.pad_elements_at(addrs, 0)
+        gen32.resize_cache(2)
+        info = gen32.cache_info()
+        assert info.currsize == 2 and info.maxsize == 2 and info.evictions == 6
+        gen32.resize_cache(0)
+        assert gen32.cache_info().currsize == 0

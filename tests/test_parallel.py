@@ -73,6 +73,46 @@ class TestEngineEquivalence:
         assert np.array_equal(expected, got)
         assert np.array_equal(got, again)  # deterministic across calls
 
+    @pytest.mark.parametrize("cache_blocks", [None, 0])
+    def test_zipf_trace_with_mid_trace_reencryption(self, cache_blocks):
+        """Skewed trace at workers=2, re-encrypted halfway through.
+
+        The engine re-exports its arenas when the data version moves;
+        every answer before and after must equal a cache-free store's.
+        """
+        from repro.faults import RecoveryPolicy
+        from repro.workloads.traces import production_trace
+
+        params = SecNDPParams(element_bits=32)
+        table = np.random.default_rng(0).normal(size=(256, 16))
+
+        def build(recovery):
+            store = SecureEmbeddingStore(
+                SecNDPProcessor(KEY, params),
+                UntrustedNdpDevice(params),
+                quantization="table",
+                recovery=recovery,
+            )
+            store.add_table("emb", table)
+            return store
+
+        trace = production_trace(
+            256, 16, pf_range=(8, 16), hot_fraction=0.1, hot_probability=0.9, seed=2
+        )
+        batch = [[int(r) for r in ix] for ix in trace.indices]
+        reference = build(None)
+        reference.processor.encryptor.otp.resize_cache(0)
+        expected = reference.sls_many("emb", batch)
+        store = build(RecoveryPolicy(backoff_base_s=1e-5, reencrypt_after=None))
+        if cache_blocks is not None:
+            store.processor.encryptor.otp.resize_cache(cache_blocks)
+        half = len(batch) // 2
+        with ParallelSlsEngine(store, workers=2) as engine:
+            first = engine.sls_many("emb", batch[:half])
+            store.reencrypt_table("emb")
+            second = engine.sls_many("emb", batch[half:])
+        assert np.array_equal(np.concatenate([first, second]), expected)
+
     def test_single_worker_matches(self):
         store = _build_store()
         batch_rows = _batch(np.random.default_rng(2), 64)

@@ -694,6 +694,33 @@ class TestTcpServer:
 
         asyncio.run(run())
 
+    @pytest.mark.parametrize(
+        "hostile",
+        [{"id": "x"}, {"id": 1, "rows": ["a"]}, {"id": 2, "rows": [1.5]}, [1, 2]],
+    )
+    def test_hostile_request_answered_and_connection_survives(self, hostile):
+        store = make_store()
+
+        async def run():
+            async with SlsServer(store, port=0) as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(encode_frame(hostile, CODEC_JSON))
+                good = SlsRequest(id=7, op="sls", table="emb", rows=(0, 1))
+                writer.write(encode_frame(good.to_wire(), CODEC_JSON))
+                await writer.drain()
+                bad = SlsResponse.from_wire(await read_frame(reader))
+                ok = SlsResponse.from_wire(await read_frame(reader))
+                writer.close()
+                await writer.wait_closed()
+            return bad, ok
+
+        bad, ok = asyncio.run(run())
+        assert bad.status == "error" and bad.kind == "FrameError"
+        assert ok.id == 7 and ok.status == STATUS_OK
+        assert np.array_equal(np.asarray(ok.values), store.sls("emb", [0, 1]))
+
     def test_pending_requests_fail_typed_on_server_close(self):
         store = make_store()
 

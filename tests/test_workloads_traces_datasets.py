@@ -55,6 +55,21 @@ class TestProductionTrace:
         # ~80% of references should land in the 1% hot set.
         assert hot_hits / len(all_ix) > 0.6
 
+    def test_hot_mass_tracks_hot_probability(self):
+        tr = production_trace(
+            8192, 64, hot_fraction=0.05, hot_probability=0.9, seed=3
+        )
+        refs = [i for ix in tr.indices for i in ix]
+        # Hot rows get hot_probability of the draws plus the uniform
+        # spill-over that also lands below n_hot.
+        assert sum(1 for i in refs if i < int(8192 * 0.05)) / len(refs) > 0.85
+
+    def test_seed_determinism(self):
+        a = production_trace(4096, 32, seed=9)
+        b = production_trace(4096, 32, seed=9)
+        assert a.indices == b.indices and a.weights == b.weights
+        assert production_trace(4096, 32, seed=10).indices != a.indices
+
     def test_invalid_hot_params(self):
         with pytest.raises(ConfigurationError):
             production_trace(100, 1, hot_fraction=0.0)
