@@ -63,8 +63,8 @@ class WeightedSumResult:
 class PartialSumShare:
     """One shard's contribution to a batch of weighted-summation queries.
 
-    Produced by :meth:`SecNDPProcessor.partial_row_sum_batch` over the
-    subset of each query's rows a worker owns, and combined on the
+    Produced by :meth:`SecNDPProcessor.combine_device_sums` over the
+    subset of each query's rows a shard owns, and combined on the
     trusted side by :meth:`SecNDPProcessor.finalize_row_sum_batch`.
 
     ``values`` has shape ``(n_queries, m)``: row ``q`` is this shard's
@@ -81,6 +81,26 @@ class PartialSumShare:
 
     values: np.ndarray
     tag_shares: Optional[List[int]]
+
+
+def _batch_weights(
+    batch_rows: Sequence[Sequence[int]],
+    batch_weights: Optional[Sequence[Sequence[int]]],
+) -> Sequence[Sequence[int]]:
+    """One weight list per query; unit weights when none are given."""
+    if batch_weights is None:
+        return [[1] * len(rows) for rows in batch_rows]
+    if len(batch_weights) != len(batch_rows):
+        raise ConfigurationError("batch_rows and batch_weights must have equal length")
+    return batch_weights
+
+
+def _count_rows(prefix: str, batch_rows: Sequence[Sequence[int]]) -> None:
+    """Pad-amortization counters of one batch: queries, rows, unique rows."""
+    if obs.enabled() and any(len(rows) for rows in batch_rows):
+        obs.inc(f"{prefix}.queries", len(batch_rows))
+        obs.inc(f"{prefix}.rows_total", sum(len(rows) for rows in batch_rows))
+        obs.inc(f"{prefix}.rows_unique", len({int(r) for rows in batch_rows for r in rows}))
 
 
 class UntrustedNdpDevice:
@@ -185,12 +205,7 @@ class UntrustedNdpDevice:
         contract of a cluster NDP node: ciphertext sums go out, nothing
         decryptable comes back.
         """
-        if batch_weights is None:
-            batch_weights = [[1] * len(rows) for rows in batch_rows]
-        if len(batch_weights) != len(batch_rows):
-            raise ConfigurationError(
-                "batch_rows and batch_weights must have equal length"
-            )
+        batch_weights = _batch_weights(batch_rows, batch_weights)
         if name not in self._store:
             raise ConfigurationError(f"no matrix {name!r} stored on this device")
         enc = self._store[name]
@@ -302,27 +317,14 @@ class SecNDPProcessor:
                 )
         return encrypted
 
-    # -- fault-injection view ---------------------------------------------------
-
-    @staticmethod
-    def _pad_source(enc: EncryptedMatrix) -> EncryptedMatrix:
-        """The matrix view pads are regenerated from.
-
-        Normally ``enc`` itself; under an armed fault injector the OTP
-        counter version may be flipped (a version-management fault,
-        Sec. V-A) so the regenerated pads no longer match the ciphertext
-        and verification must trip.  One ``is None`` check when faults
-        are off.
-        """
-        inj = fault_hooks.armed_injector()
-        if inj is None:
-            return enc
-        version = inj.perturb_version(enc.version, "protocol.otp_version")
-        if version == enc.version:
-            return enc
-        return replace(enc, version=version)
-
     # -- queries (T1 in Fig. 4) -------------------------------------------------
+    #
+    # Every verified query runs the same four steps, batched: the trusted
+    # pad half (:meth:`pad_share_batch`), the NDP ciphertext half
+    # (:meth:`UntrustedNdpDevice.partial_sum_batch`), the one adder that
+    # joins them (:meth:`combine_device_sums`), and the tag identity
+    # (:meth:`finalize_row_sum_batch`).  A single query is a batch of one;
+    # a shard is a batch over the rows it owns.
 
     def weighted_row_sum(
         self,
@@ -339,26 +341,11 @@ class SecNDPProcessor:
         SLS / pooling primitive the evaluation offloads to NDP.
         """
         obs.inc("protocol.queries")
-        weights_ring = self.ring.encode(np.asarray(weights))
-        enc = device.stored(name)
-
-        # NDP share: computed remotely over ciphertext.
-        with obs.span("protocol.offload"):
-            c_res = device.weighted_row_sum(name, rows, weights_ring)
-
-        # Processor share: same operation over regenerated pads (OTP PU).
-        with obs.span("protocol.otp"):
-            pads = self.encryptor.pads_for_rows(self._pad_source(enc), rows)
-
-        # The one adder on the critical path (Sec. V-E3).
-        with obs.span("protocol.combine"):
-            e_res = self.ring.dot(weights_ring, pads)
-            res = self.ring.add(c_res, e_res)
-
-        if verify:
-            with obs.span("protocol.verify"):
-                self._verify_row_sum(device, enc, name, rows, weights_ring, res)
-        return WeightedSumResult(values=res, verified=verify)
+        share = self._split_share(device, name, [rows], [weights], verify)
+        (result,) = self.finalize_row_sum_batch(
+            device.stored(name), name, [share], verify=verify
+        )
+        return result
 
     def weighted_row_sum_batch(
         self,
@@ -371,90 +358,17 @@ class SecNDPProcessor:
         """Alg. 4 + Alg. 5 for a whole batch of weighted-summation queries.
 
         Functionally identical to calling :meth:`weighted_row_sum` per
-        query, but the processor-side pad regeneration — data OTPs *and*
-        tag pads — is amortized: pads are generated once for the union
-        of queried rows, then each query's share is a cheap gather + dot.
-        This is the shape of a DLRM inference batch, where consecutive
-        SLS queries hit overlapping hot rows.
+        query, with the pad regeneration amortized over the union of the
+        batch's rows (see :meth:`pad_share_batch`).  This is the shape of
+        a DLRM inference batch, where consecutive SLS queries hit
+        overlapping hot rows.
         """
-        if batch_weights is None:
-            batch_weights = [[1] * len(rows) for rows in batch_rows]
-        if len(batch_weights) != len(batch_rows):
-            raise ConfigurationError("batch_rows and batch_weights must have equal length")
-        if not batch_rows:
-            return []
-        enc = device.stored(name)
-        n_cols = int(enc.ciphertext.shape[1])
-
-        batch_arrs = [
-            np.asarray(rows, dtype=np.int64).reshape(-1) for rows in batch_rows
-        ]
-        touched = [rows for rows in batch_arrs if rows.size]
-        if not touched:
-            # Every query is empty: the pooled sums are identically zero
-            # and nothing untrusted contributes, so nothing to verify.
-            return [
-                WeightedSumResult(
-                    values=np.zeros(n_cols, dtype=self.ring.dtype),
-                    verified=verify,
-                )
-                for _ in batch_rows
-            ]
-        all_rows = np.unique(np.concatenate(touched))
-        if obs.enabled():
-            obs.inc("protocol.batch.queries", len(batch_rows))
-            obs.inc(
-                "protocol.batch.rows_total",
-                int(sum(len(rows) for rows in batch_rows)),
-            )
-            obs.inc("protocol.batch.rows_unique", int(all_rows.size))
-        row_pos = {int(r): k for k, r in enumerate(all_rows)}
-        # One pad sweep for the union of rows (the AES hot path).
-        with obs.span("protocol.otp"):
-            pads = self.encryptor.pads_for_rows(self._pad_source(enc), all_rows)
-        tag_pads = None
-        key = None
-        if verify:
-            if enc.tags is None or enc.checksum_version is None:
-                raise VerificationError(
-                    f"matrix {name!r} was encrypted without verification tags"
-                )
-            with obs.span("protocol.otp"):
-                tag_pads = self.mac.tag_pads_for_rows(enc, all_rows)
-            key = self.checksum.key_for(enc.base_addr, enc.checksum_version)
-
-        results: List[WeightedSumResult] = []
-        for rows, weights in zip(batch_arrs, batch_weights):
-            obs.inc("protocol.queries")
-            if not rows.size:
-                results.append(
-                    WeightedSumResult(
-                        values=np.zeros(n_cols, dtype=self.ring.dtype),
-                        verified=verify,
-                    )
-                )
-                continue
-            weights_ring = self.ring.encode(np.asarray(weights))
-            with obs.span("protocol.offload"):
-                c_res = device.weighted_row_sum(name, rows, weights_ring)
-            idx = [row_pos[int(i)] for i in rows]
-            with obs.span("protocol.combine"):
-                e_res = self.ring.dot(weights_ring, pads[idx])
-                res = self.ring.add(c_res, e_res)
-            if verify:
-                with obs.span("protocol.verify"):
-                    self._verify_row_sum(
-                        device,
-                        enc,
-                        name,
-                        rows,
-                        weights_ring,
-                        res,
-                        key=key,
-                        tag_pads=[tag_pads[k] for k in idx],
-                    )
-            results.append(WeightedSumResult(values=res, verified=verify))
-        return results
+        _count_rows("protocol.batch", batch_rows)
+        obs.inc("protocol.queries", len(batch_rows))
+        share = self._split_share(device, name, batch_rows, batch_weights, verify)
+        return self.finalize_row_sum_batch(
+            device.stored(name), name, [share], verify=verify
+        )
 
     def partial_row_sum_batch(
         self,
@@ -470,65 +384,32 @@ class SecNDPProcessor:
         shard owns (possibly none); the returned share holds the
         decrypted partial sums and, when ``with_tag_shares``, the
         combined tag shares ``C_T_res + E_T_res`` for those rows.  No
-        verification happens here — a partial sum has no meaningful tag
-        identity on its own; :meth:`finalize_row_sum_batch` checks the
+        verification happens here — :meth:`failed_share_queries` checks
+        a share on its own, :meth:`finalize_row_sum_batch` the
         recombined totals.
-
-        Pad regeneration (data and tag OTPs) is amortized over the union
-        of this shard's rows, exactly like the sequential batch path.
         """
-        if batch_weights is None:
-            batch_weights = [[1] * len(rows) for rows in batch_rows]
-        if len(batch_weights) != len(batch_rows):
-            raise ConfigurationError("batch_rows and batch_weights must have equal length")
-        enc = device.stored(name)
-        n_cols = int(enc.ciphertext.shape[1])
-        values = np.zeros((len(batch_rows), n_cols), dtype=self.ring.dtype)
-        tag_shares: Optional[List[int]] = [0] * len(batch_rows) if with_tag_shares else None
-        if not batch_rows:
-            return PartialSumShare(values=values, tag_shares=tag_shares)
+        _count_rows("protocol.partial", batch_rows)
+        return self._split_share(
+            device, name, batch_rows, batch_weights, with_tag_shares
+        )
 
-        nonempty = [
-            np.asarray(rows, dtype=np.int64).reshape(-1) for rows in batch_rows
-        ]
-        touched = [rows for rows in nonempty if rows.size]
-        if not touched:
-            return PartialSumShare(values=values, tag_shares=tag_shares)
-        all_rows = np.unique(np.concatenate(touched))
-        if obs.enabled():
-            obs.inc("protocol.partial.queries", len(batch_rows))
-            obs.inc("protocol.partial.rows_unique", int(all_rows.size))
-        row_pos = {int(r): k for k, r in enumerate(all_rows)}
-        with obs.span("protocol.otp"):
-            pads = self.encryptor.pads_for_rows(self._pad_source(enc), all_rows)
-        tag_pads = None
-        if with_tag_shares:
-            if enc.tags is None or enc.checksum_version is None:
-                raise VerificationError(
-                    f"matrix {name!r} was encrypted without verification tags"
-                )
-            with obs.span("protocol.otp"):
-                tag_pads = self.mac.tag_pads_for_rows(enc, all_rows)
-
-        for q, (rows, weights) in enumerate(zip(nonempty, batch_weights)):
-            if not rows.size:
-                continue
-            weights_ring = self.ring.encode(np.asarray(weights))
-            with obs.span("protocol.offload"):
-                c_res = device.weighted_row_sum(name, rows, weights_ring)
-            idx = [row_pos[int(i)] for i in rows]
-            with obs.span("protocol.combine"):
-                e_res = self.ring.dot(weights_ring, pads[idx])
-                values[q] = self.ring.add(c_res, e_res)
-            if with_tag_shares:
-                weights_int = [int(w) for w in weights_ring]
-                with obs.span("protocol.verify"):
-                    e_t_res = limb_field.field_dot(
-                        self.field, weights_int, [tag_pads[k] for k in idx]
-                    )
-                    c_t_res = device.weighted_tag_sum(name, rows, weights_int)
-                    tag_shares[q] = self.field.add(c_t_res, e_t_res)
-        return PartialSumShare(values=values, tag_shares=tag_shares)
+    def _split_share(
+        self,
+        device: UntrustedNdpDevice,
+        name: str,
+        batch_rows: Sequence[Sequence[int]],
+        batch_weights: Optional[Sequence[Sequence[int]]],
+        with_tag_shares: bool,
+    ) -> PartialSumShare:
+        """Pad half + device half + combine against a local device."""
+        pad = self.pad_share_batch(
+            device.stored(name), name, batch_rows, batch_weights, with_tag_shares
+        )
+        with obs.span("protocol.offload"):
+            values, tag_sums = device.partial_sum_batch(
+                name, batch_rows, batch_weights, with_tags=with_tag_shares
+            )
+        return self.combine_device_sums(pad, values, tag_sums)
 
     def pad_share_batch(
         self,
@@ -538,57 +419,58 @@ class SecNDPProcessor:
         batch_weights: Optional[Sequence[Sequence[int]]] = None,
         with_tag_shares: bool = True,
     ) -> PartialSumShare:
-        """The trusted-side half of :meth:`partial_row_sum_batch`.
+        """The trusted-side half of a batch (the OTP PU of Fig. 4).
 
         ``E_res[q] = sum_k a_k * pad_{i_k}`` per query (and, when
         ``with_tag_shares``, the tag-pad sums ``E_T_res[q]``) — computed
-        entirely key-side, with no device interaction.  Adding an
-        untrusted device's ciphertext-domain sums
+        entirely key-side, with no device interaction.  Pads are
+        regenerated once for the union of the batch's rows.  Adding a
+        device's ciphertext-domain sums
         (:meth:`UntrustedNdpDevice.partial_sum_batch`) via
-        :meth:`combine_device_sums` reconstructs the shard's
-        :class:`PartialSumShare` bit-identically to running
-        :meth:`partial_row_sum_batch` against an honest device, while
-        the key never leaves the trusted side: a remote shard only ever
+        :meth:`combine_device_sums` gives the decrypted share, while the
+        key never leaves the trusted side: a remote shard only ever
         receives ciphertext and returns ciphertext sums.
         """
-        if batch_weights is None:
-            batch_weights = [[1] * len(rows) for rows in batch_rows]
-        if len(batch_weights) != len(batch_rows):
-            raise ConfigurationError(
-                "batch_rows and batch_weights must have equal length"
-            )
+        batch_weights = _batch_weights(batch_rows, batch_weights)
         n_cols = int(enc.ciphertext.shape[1])
         values = np.zeros((len(batch_rows), n_cols), dtype=self.ring.dtype)
         tag_shares: Optional[List[int]] = (
             [0] * len(batch_rows) if with_tag_shares else None
         )
-        nonempty = [
+        batch_arrs = [
             np.asarray(rows, dtype=np.int64).reshape(-1) for rows in batch_rows
         ]
-        touched = [rows for rows in nonempty if rows.size]
+        touched = [rows for rows in batch_arrs if rows.size]
         if not touched:
             return PartialSumShare(values=values, tag_shares=tag_shares)
-        all_rows = np.unique(np.concatenate(touched))
-        row_pos = {int(r): k for k, r in enumerate(all_rows)}
-        with obs.span("protocol.otp"):
-            pads = self.encryptor.pads_for_rows(self._pad_source(enc), all_rows)
-        tag_pads = None
         if with_tag_shares:
-            if enc.tags is None or enc.checksum_version is None:
-                raise VerificationError(
-                    f"matrix {name!r} was encrypted without verification tags"
-                )
-            with obs.span("protocol.otp"):
-                tag_pads = self.mac.tag_pads_for_rows(enc, all_rows)
-        for q, (rows, weights) in enumerate(zip(nonempty, batch_weights)):
-            if not rows.size:
-                continue
-            weights_ring = self.ring.encode(np.asarray(weights))
-            idx = [row_pos[int(i)] for i in rows]
-            with obs.span("protocol.combine"):
+            self._require_tags(enc, name)
+        pad_source = enc
+        inj = fault_hooks.armed_injector()
+        if inj is not None:
+            # A version-management fault (Sec. V-A): pads regenerated under
+            # a flipped OTP version no longer match the ciphertext, so
+            # verification must trip.
+            version = inj.perturb_version(enc.version, "protocol.otp_version")
+            if version != enc.version:
+                pad_source = replace(enc, version=version)
+        with obs.span("protocol.otp"):
+            all_rows, inverse = np.unique(
+                np.concatenate(touched), return_inverse=True
+            )
+            pads = self.encryptor.pads_for_rows(pad_source, all_rows)
+            tag_pads = (
+                self.mac.tag_pads_for_rows(enc, all_rows) if with_tag_shares else None
+            )
+            start = 0
+            for q, (rows, weights) in enumerate(zip(batch_arrs, batch_weights)):
+                if not rows.size:
+                    continue
+                idx = inverse[start : start + rows.size]
+                start += rows.size
+                weights_ring = self.ring.encode(np.asarray(weights))
                 values[q] = self.ring.dot(weights_ring, pads[idx])
-            if with_tag_shares:
-                with obs.span("protocol.verify"):
+                if with_tag_shares:
                     tag_shares[q] = limb_field.field_dot(
                         self.field,
                         [int(w) for w in weights_ring],
@@ -607,10 +489,11 @@ class SecNDPProcessor:
         ``values = C_res + E_res`` in the ring and ``tag_shares =
         C_T_res + E_T_res`` in the field: the decrypt-and-reconstruct
         step of Alg. 5 with the two halves computed by different
-        parties.  The device inputs are untrusted — shape mismatches
-        raise :class:`ConfigurationError` so callers can blame the
-        shard that produced them; forged sums pass through and are
-        caught by :meth:`verify_partial_share`.
+        parties — the one adder on the critical path (Sec. V-E3).  The
+        device inputs are untrusted — shape mismatches raise
+        :class:`ConfigurationError` so callers can blame the shard that
+        produced them; forged sums pass through and are caught by
+        :meth:`verify_partial_share`.
         """
         values = np.asarray(device_values, dtype=self.ring.dtype)
         if values.shape != pad.values.shape:
@@ -618,22 +501,79 @@ class SecNDPProcessor:
                 f"device sums shape {values.shape} does not match the "
                 f"pad share shape {pad.values.shape}"
             )
-        tag_shares: Optional[List[int]] = None
-        if pad.tag_shares is not None:
-            if device_tag_sums is None or len(device_tag_sums) != len(
-                pad.tag_shares
-            ):
-                raise ConfigurationError(
-                    "device tag sums missing or mismatched against the "
-                    "pad share's tag shares"
-                )
-            tag_shares = [
+        if pad.tag_shares is not None and (
+            device_tag_sums is None or len(device_tag_sums) != len(pad.tag_shares)
+        ):
+            raise ConfigurationError(
+                "device tag sums missing or mismatched against the "
+                "pad share's tag shares"
+            )
+        with obs.span("protocol.combine"):
+            tag_shares = None if pad.tag_shares is None else [
                 self.field.add(int(c), int(e))
                 for c, e in zip(device_tag_sums, pad.tag_shares)
             ]
-        return PartialSumShare(
-            values=self.ring.add(values, pad.values), tag_shares=tag_shares
+            values = self.ring.add(values, pad.values)
+        return PartialSumShare(values=values, tag_shares=tag_shares)
+
+    def weighted_element_sum(
+        self,
+        device: UntrustedNdpDevice,
+        name: str,
+        rows: Sequence[int],
+        cols: Sequence[int],
+        weights: Sequence[int],
+    ) -> int:
+        """Scalar Alg. 4: ``res = sum_k a_k * P_{i_k, j_k} mod 2^w_e``.
+
+        Element-granular queries cannot be tag-verified (tags cover whole
+        rows), matching the paper where verification is defined for the
+        vector weighted summation (Alg. 5).
+        """
+        weights_ring = self.ring.encode(np.asarray(weights))
+        enc = device.stored(name)
+        c_res = device.weighted_element_sum(name, rows, cols, weights_ring)
+        elem_addrs = np.array(
+            [enc.element_addr(int(i), int(j)) for i, j in zip(rows, cols)],
+            dtype=np.uint64,
         )
+        pads = self.encryptor.otp.pad_elements_at(elem_addrs, enc.version)
+        e_res = self.ring.dot(weights_ring, pads[:, None])[0]
+        return int(self.ring.add(self.ring.dtype(c_res), e_res))
+
+    # -- verification (Alg. 5) ---------------------------------------------------
+
+    def _checksum_key(
+        self, enc: EncryptedMatrix, name: str, partials: Sequence[PartialSumShare]
+    ):
+        """The checksum key of ``enc``, once there are tags to check against it."""
+        if any(part.tag_shares is None for part in partials):
+            raise VerificationError(
+                "partial share carries no tag shares; recompute with "
+                "with_tag_shares=True to verify"
+            )
+        self._require_tags(enc, name)
+        return self.checksum.key_for(enc.base_addr, enc.checksum_version)
+
+    def _require_tags(self, enc: EncryptedMatrix, name: str) -> None:
+        if enc.tags is None or enc.checksum_version is None:
+            raise VerificationError(
+                f"matrix {name!r} was encrypted without verification tags"
+            )
+
+    def _tag_mismatches(
+        self, values: np.ndarray, tag_shares: Sequence[int], key
+    ) -> List[int]:
+        """Queries whose retrieved tag is not ``result_tag`` of their values.
+
+        The one tag-identity loop (Alg. 5 line 16), shared by the
+        per-shard and the combined check.
+        """
+        return [
+            q
+            for q in range(values.shape[0])
+            if tag_shares[q] != self.checksum.result_tag(values[q], key)
+        ]
 
     def failed_share_queries(
         self,
@@ -657,24 +597,10 @@ class SecNDPProcessor:
         :meth:`finalize_row_sum_batch` keeps checking totals even when
         per-shard checks ran.
         """
-        if part.tag_shares is None:
-            raise VerificationError(
-                "partial share carries no tag shares; recompute with "
-                "with_tag_shares=True to verify"
-            )
-        if enc.tags is None or enc.checksum_version is None:
-            raise VerificationError(
-                f"matrix {name!r} was encrypted without verification tags"
-            )
-        if key is None:
-            key = self.checksum.key_for(enc.base_addr, enc.checksum_version)
-        failed: List[int] = []
+        if key is None or part.tag_shares is None:
+            key = self._checksum_key(enc, name, [part])
         with obs.span("protocol.shard_verify"):
-            for q in range(part.values.shape[0]):
-                if part.tag_shares[q] != self.checksum.result_tag(
-                    part.values[q], key
-                ):
-                    failed.append(q)
+            failed = self._tag_mismatches(part.values, part.tag_shares, key)
         if failed:
             obs.inc("protocol.shard_verify.failures", len(failed))
         return failed
@@ -717,7 +643,8 @@ class SecNDPProcessor:
         because every shard partitions the query's rows and both
         structures are exact modular arithmetic, the totals — and hence
         the verification outcome — are bit-identical to
-        :meth:`weighted_row_sum_batch` on the unsharded queries.
+        :meth:`weighted_row_sum_batch` on the unsharded queries (which
+        is this method over a single share).
 
         With ``per_shard=True`` every share is first verified against
         its *own* restricted checksum (see :meth:`failed_share_queries`),
@@ -731,111 +658,28 @@ class SecNDPProcessor:
         partials = list(partials)
         if not partials:
             return []
-        key = None
-        if verify:
-            if enc.tags is None or enc.checksum_version is None:
-                raise VerificationError(
-                    f"matrix {name!r} was encrypted without verification tags"
-                )
-            key = self.checksum.key_for(enc.base_addr, enc.checksum_version)
-            if per_shard:
-                for s, part in enumerate(partials):
-                    label = shard_labels[s] if shard_labels is not None else s
-                    self.verify_partial_share(
-                        enc, name, part, key=key, shard=label
-                    )
         res = partials[0].values
         for part in partials[1:]:
             res = self.ring.add(res, part.values)
-        results: List[WeightedSumResult] = []
-        for q in range(res.shape[0]):
-            values = res[q]
-            if verify:
-                with obs.span("protocol.verify"):
-                    retrieved = 0
-                    for part in partials:
-                        if part.tag_shares is None:
-                            raise VerificationError(
-                                "partial share carries no tag shares; recompute "
-                                "with with_tag_shares=True to verify"
-                            )
-                        retrieved = self.field.add(retrieved, part.tag_shares[q])
-                    t_res = self.checksum.result_tag(values, key)
-                    if retrieved != t_res:
-                        obs.inc("protocol.verify.failures")
-                        raise VerificationError(
-                            f"tag mismatch for query on {name!r}: computed "
-                            f"{t_res:#x}, retrieved {retrieved:#x} "
-                            f"(tampering, replay, or ring overflow)"
-                        )
-            results.append(WeightedSumResult(values=values, verified=verify))
-        return results
-
-    def weighted_element_sum(
-        self,
-        device: UntrustedNdpDevice,
-        name: str,
-        rows: Sequence[int],
-        cols: Sequence[int],
-        weights: Sequence[int],
-    ) -> int:
-        """Scalar Alg. 4: ``res = sum_k a_k * P_{i_k, j_k} mod 2^w_e``.
-
-        Element-granular queries cannot be tag-verified (tags cover whole
-        rows), matching the paper where verification is defined for the
-        vector weighted summation (Alg. 5).
-        """
-        weights_ring = self.ring.encode(np.asarray(weights))
-        enc = device.stored(name)
-        c_res = device.weighted_element_sum(name, rows, cols, weights_ring)
-        elem_addrs = np.array(
-            [enc.element_addr(int(i), int(j)) for i, j in zip(rows, cols)],
-            dtype=np.uint64,
-        )
-        pads = self.encryptor.otp.pad_elements_at(elem_addrs, enc.version)
-        e_res = self.ring.dot(weights_ring, pads[:, None])[0]
-        return int(self.ring.add(self.ring.dtype(c_res), e_res))
-
-    # -- verification (Alg. 5) ---------------------------------------------------
-
-    def _verify_row_sum(
-        self,
-        device: UntrustedNdpDevice,
-        enc: EncryptedMatrix,
-        name: str,
-        rows: Sequence[int],
-        weights_ring: np.ndarray,
-        res: np.ndarray,
-        key=None,
-        tag_pads: Optional[list] = None,
-    ) -> None:
-        if enc.tags is None or enc.checksum_version is None:
-            raise VerificationError(
-                f"matrix {name!r} was encrypted without verification tags"
-            )
-        # Checksum of the reconstructed result (verification engine);
-        # the limb-vectorized path evaluates the whole Horner dot at once.
-        if key is None:
-            key = self.checksum.key_for(enc.base_addr, enc.checksum_version)
-        t_res = self.checksum.result_tag(res, key)
-
-        # Tag pads for the queried rows (OTP side, E_{T_res}); batch
-        # callers pass them pre-generated for the union of rows.
-        if tag_pads is None:
-            tag_pads = self.mac.tag_pads_for_rows(enc, rows)
-        weights_int = [int(w) for w in weights_ring]
-        e_t_res = limb_field.field_dot(self.field, weights_int, tag_pads)
-
-        # NDP tag share (C_{T_res}).
-        c_t_res = device.weighted_tag_sum(name, rows, weights_int)
-
-        retrieved = self.field.add(c_t_res, e_t_res)
-        if retrieved != t_res:
-            obs.inc("protocol.verify.failures")
-            raise VerificationError(
-                f"tag mismatch for query on {name!r}: computed {t_res:#x}, "
-                f"retrieved {retrieved:#x} (tampering, replay, or ring overflow)"
-            )
+        if verify:
+            key = self._checksum_key(enc, name, partials)
+            if per_shard:
+                for s, part in enumerate(partials):
+                    label = shard_labels[s] if shard_labels is not None else s
+                    self.verify_partial_share(enc, name, part, key=key, shard=label)
+            with obs.span("protocol.verify"):
+                retrieved = [
+                    self.field.reduce(sum(int(p.tag_shares[q]) for p in partials))
+                    for q in range(res.shape[0])
+                ]
+                failed = self._tag_mismatches(res, retrieved, key)
+            if failed:
+                obs.inc("protocol.verify.failures")
+                raise VerificationError(
+                    f"tag mismatch for queries {failed} on {name!r} "
+                    f"(tampering, replay, or ring overflow)"
+                )
+        return [WeightedSumResult(values=values, verified=verify) for values in res]
 
     # -- convenience --------------------------------------------------------------
 

@@ -487,16 +487,7 @@ class ParallelSlsEngine:
         entry = store._tables[name]
         rows_list, weights_list = store._validate_batch(name, batch_rows, batch_weights)
 
-        n_rows = entry.n_rows
-        norm_rows = []
-        for rows in rows_list:
-            arr = np.asarray(rows, dtype=np.int64)
-            # Same contract as the store path (EncryptedMatrix indexing):
-            # no negative-index wrapping, fail before dispatching work.
-            if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= n_rows):
-                bad = int(arr[(arr < 0) | (arr >= n_rows)][0])
-                raise IndexError(f"row {bad} out of range [0, {n_rows})")
-            norm_rows.append(arr)
+        norm_rows = [np.asarray(rows, dtype=np.int64) for rows in rows_list]
 
         bounds = self._bounds[name]
         collect_metrics = obs.enabled()
@@ -604,8 +595,7 @@ class ParallelSlsEngine:
             return store.sls_many(name, batch_rows, batch_weights)
         out = np.zeros((len(rows_list), entry.dim))
         for i, (result, weights) in enumerate(zip(results, weights_list)):
-            pooled_q = result.values.astype(np.float64)[: entry.dim]
-            out[i] = pooled_q * entry.scale + entry.bias * float(sum(weights))
+            out[i] = store._affine(entry, result.values, weights)
         return out
 
     # -- non-blocking submission -----------------------------------------------

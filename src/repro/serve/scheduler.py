@@ -160,8 +160,9 @@ class BatchScheduler:
                 ConfigurationError(f"malformed request (op={request.op!r})"),
             )
         # Validation before admission: a query the store would reject
-        # (overflow budget, negative weights, unknown table) must not
-        # consume queue capacity or skew the shed accounting.
+        # (overflow budget, negative weights, out-of-range rows, unknown
+        # table) must not consume queue capacity or skew the shed
+        # accounting.
         try:
             rows, weights = self.store._validate_query(
                 request.table, list(request.rows), request.weights
@@ -173,10 +174,12 @@ class BatchScheduler:
                 request.id,
                 ConfigurationError(f"unknown table {request.table!r}"),
             )
-        except ConfigurationError as exc:
+        except (ConfigurationError, IndexError) as exc:
+            # An out-of-range row is the client's error like any other
+            # invalid query: a typed ConfigurationError, answered alone.
             self._stats["rejected_invalid"] += 1
             obs.inc("serve.response.invalid")
-            return error_response(request.id, exc)
+            return error_response(request.id, ConfigurationError(str(exc)))
 
         if not self.admission.admit(self._pending):
             obs.inc("serve.response.overloaded")

@@ -223,14 +223,21 @@ class SecureEmbeddingStore:
         rows: Sequence[int],
         weights: Optional[Sequence[int]],
     ) -> Tuple[List[int], List[int]]:
-        """Shared per-query checks: weight sanity + overflow budget.
+        """Shared per-query checks: row range, weight sanity, overflow budget.
 
         Returns the normalised ``(rows, weights)`` lists.  Used by
-        :meth:`sls`, :meth:`sls_many` and the sharded engine in
-        ``repro.parallel`` so the overflow budget of Thm. A.2 is enforced
-        identically on every serving path.
+        :meth:`sls`, :meth:`sls_many`, the sharded engine in
+        ``repro.parallel``, the cluster coordinator and the serving
+        scheduler, so every path rejects the same queries.  Rows must lie
+        in ``[0, n_rows)``: no negative-index wrapping, and a row-range
+        shard must never silently drop a row whose weight still enters
+        the affine bias.
         """
+        n_rows = self._tables[name].n_rows
         rows = [int(r) for r in rows]
+        if rows and (min(rows) < 0 or max(rows) >= n_rows):
+            bad = next(r for r in rows if not 0 <= r < n_rows)
+            raise IndexError(f"row {bad} out of range [0, {n_rows})")
         if weights is None:
             weights = [1] * len(rows)
         else:
@@ -270,6 +277,12 @@ class SecureEmbeddingStore:
 
     # -- queries -----------------------------------------------------------------------
 
+    @staticmethod
+    def _affine(entry: _TableEntry, values: np.ndarray, weights: Sequence[int]) -> np.ndarray:
+        """The trusted-side affine correction ``resq * scale + bias * sum(a)``."""
+        pooled_q = values.astype(np.float64)[: entry.dim]
+        return pooled_q * entry.scale + entry.bias * float(sum(weights))
+
     def sls(
         self,
         name: str,
@@ -295,8 +308,7 @@ class SecureEmbeddingStore:
         except VerificationError:
             obs.emit_event(obs.VERIFY_FAILURE, table=name, rows=rows)
             raise
-        pooled_q = result.values.astype(np.float64)[: entry.dim]
-        return pooled_q * entry.scale + entry.bias * float(sum(weights))
+        return self._affine(entry, result.values, weights)
 
     def sls_split(
         self,
@@ -375,22 +387,8 @@ class SecureEmbeddingStore:
                 raise
         out = np.zeros((len(rows_list), entry.dim))
         for i, (result, weights) in enumerate(zip(results, weights_list)):
-            pooled_q = result.values.astype(np.float64)[: entry.dim]
-            out[i] = pooled_q * entry.scale + entry.bias * float(sum(weights))
+            out[i] = self._affine(entry, result.values, weights)
         return out
-
-    def sls_batch(
-        self,
-        name: str,
-        batch_rows: Sequence[Sequence[int]],
-        batch_weights: Optional[Sequence[Sequence[int]]] = None,
-    ) -> np.ndarray:
-        """Pooled vectors for a batch of queries -> (batch, dim).
-
-        Kept as the historical name; delegates to the amortized
-        :meth:`sls_many` path.
-        """
-        return self.sls_many(name, batch_rows, batch_weights)
 
     def sls_scatter(
         self,
@@ -465,11 +463,6 @@ class SecureEmbeddingStore:
         return q * entry.scale[None, :] + entry.bias[None, :]
 
     # -- verification-triggered recovery (DESIGN.md Sec. 11) ---------------------------
-
-    @staticmethod
-    def _affine(entry: _TableEntry, values: np.ndarray, weights: Sequence[int]) -> np.ndarray:
-        pooled_q = values.astype(np.float64)[: entry.dim]
-        return pooled_q * entry.scale + entry.bias * float(sum(weights))
 
     def _serve_many_recovering(
         self,

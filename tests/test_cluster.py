@@ -384,6 +384,27 @@ class TestClusterEndToEnd:
 
         self._run(scenario())
 
+    def test_out_of_range_rows_raise_instead_of_dropping(self):
+        # A row outside every shard's [lo, hi) must not be masked away
+        # while its weight still enters the affine bias.
+        store = _make_store(n_rows=64)
+
+        async def scenario():
+            async with NodeServer("n0") as s0, NodeServer("n1") as s1:
+                coordinator = ClusterCoordinator(
+                    store,
+                    [(s.name, s.host, s.port) for s in (s0, s1)],
+                    task_timeout_s=5.0,
+                )
+                async with coordinator:
+                    for bad in ([1, 64], [-1]):
+                        with pytest.raises(IndexError, match="out of range"):
+                            await coordinator.sls_many("emb", [[0, 2], bad])
+                    got = await coordinator.sls_many("emb", [[1]])
+                    assert np.array_equal(got, store.sls_many("emb", [[1]]))
+
+        self._run(scenario())
+
     def test_byzantine_node_is_blamed_quarantined_resharded(self):
         store = _make_store(n_rows=48)
         batches = _batches(48)

@@ -335,6 +335,31 @@ class TestBatchScheduler:
         assert stats["admission.admitted"] == 0
         assert stats["admission.shed"] == 0
 
+    def test_out_of_range_row_fails_only_its_own_request(self):
+        store = make_store(n_rows=64)
+        queries = [[1, 2], [64, 3], [4, 5]]
+        expected = {0: store.sls("emb", queries[0]), 2: store.sls("emb", queries[2])}
+
+        async def run():
+            scheduler = BatchScheduler(store, max_batch=len(queries))
+            client = AsyncSlsClient.in_process(scheduler)
+            responses = await asyncio.gather(
+                *[client.sls_response("emb", q) for q in queries]
+            )
+            stats = scheduler.stats()
+            await scheduler.close()
+            return responses, stats
+
+        responses, stats = asyncio.run(run())
+        bad = responses[1]
+        assert bad.status == "error" and bad.kind == "ConfigurationError"
+        assert "out of range" in bad.error
+        for i in (0, 2):
+            assert responses[i].status == STATUS_OK
+            assert np.array_equal(np.asarray(responses[i].values), expected[i])
+        assert stats["rejected_invalid"] == 1
+        assert stats["responses_ok"] == 2
+
     def test_corrupted_row_fails_exactly_touching_requests(self):
         store = make_store()
         bad_row = 9

@@ -205,13 +205,6 @@ class TestStoreBatchEquivalence:
         for i, (rows, weights) in enumerate(zip(batch_rows, batch_weights)):
             assert np.allclose(batched[i], store.sls("emb", rows, weights))
 
-    def test_sls_batch_delegates(self):
-        store, rng = self._store()
-        batch_rows = [[0, 1], [2, 3]]
-        assert np.allclose(
-            store.sls_batch("emb", batch_rows), store.sls_many("emb", batch_rows)
-        )
-
     def test_sls_many_rejects_overflow(self):
         store, _ = self._store()
         from repro.errors import ConfigurationError
